@@ -1371,6 +1371,7 @@ impl<P: CountProtocol> ConfigSim<P> {
         seed: u64,
         mode: EngineMode,
     ) -> Self {
+        let table_backed = protocol.table_len().is_some();
         let (engine, adaptive) = match mode {
             EngineMode::Auto => {
                 let batched = protocol.prefers_batching()
@@ -1390,10 +1391,6 @@ impl<P: CountProtocol> ConfigSim<P> {
                 Engine::Batched(BatchedCountSim::new(protocol, config, seed)),
                 false,
             ),
-        };
-        let table_backed = match &engine {
-            Engine::Sequential(s) => s.protocol().table_len().is_some(),
-            Engine::Batched(b) => b.protocol().table_len().is_some(),
         };
         Self {
             engine: Some(engine),
@@ -1594,11 +1591,7 @@ impl<P: CountProtocol> ConfigSim<P> {
     /// for table-backed protocols; `PP_GC=off` in the environment disables
     /// it globally). A no-op for protocols without a backing table.
     pub fn set_gc(&mut self, enabled: bool) {
-        let table_backed = match self.eng() {
-            Engine::Sequential(s) => s.protocol().table_len().is_some(),
-            Engine::Batched(b) => b.protocol().table_len().is_some(),
-        };
-        self.gc = enabled && table_backed;
+        self.gc = enabled && self.protocol().table_len().is_some();
     }
 
     /// Number of interner-GC passes performed so far (always 0 for
@@ -1841,17 +1834,22 @@ impl<P: CountProtocol> ConfigSim<P> {
 
     /// Executes at least one and at most `budget` interactions on the
     /// current engine (the [`crate::simulation::Engine`] advance
-    /// granularity): one batch or null-skip step when batched, a `~√n`
-    /// chunk when sequential under [`EngineMode::Auto`] or with interner
-    /// GC active (both re-check state at chunk boundaries), the full
-    /// budget when pinned sequential without GC. Each call ends with the
-    /// adaptive engine re-selection and the interner dead/live re-check
-    /// (the interner GC re-check) where applicable. Returns the number
-    /// executed; never overshoots, so run drivers land checkpoints
-    /// exactly.
+    /// granularity): one batch or null-skip step when batched; when
+    /// sequential, one dense-lane episode if the protocol's lane takes
+    /// the budget, else a `~√n` chunk under [`EngineMode::Auto`] or for a
+    /// table-backed protocol (both re-check state at chunk boundaries)
+    /// and the full budget otherwise. Each call ends with the adaptive
+    /// engine re-selection and the interner GC re-check where
+    /// applicable. Returns the number executed; never overshoots, so run
+    /// drivers land checkpoints exactly.
+    ///
+    /// The chunk rule must not read the GC flag: chunk boundaries are
+    /// where the dense lane is re-offered, so a GC-dependent chunk size
+    /// would make the GC setting change the trajectory (pinned by
+    /// `dense_lane_is_trajectory_neutral_under_gc` in `interned.rs`).
     pub fn advance(&mut self, budget: u64) -> u64 {
         debug_assert!(budget >= 1);
-        let chunked = self.adaptive || self.gc;
+        let adaptive = self.adaptive;
         let mut lane = None;
         let executed = match self.eng_mut() {
             Engine::Batched(b) => b.advance(budget),
@@ -1869,6 +1867,7 @@ impl<P: CountProtocol> ConfigSim<P> {
                     lane = Some((s.population_size(), done, s.interactions()));
                     done
                 } else {
+                    let chunked = adaptive || s.protocol().table_len().is_some();
                     let chunk = if chunked {
                         budget.min(((s.population_size() as f64).sqrt() as u64).max(64))
                     } else {
@@ -1902,19 +1901,9 @@ impl<P: CountProtocol> ConfigSim<P> {
         executed
     }
 
-    /// Executes (at least) `k` interactions; the batched engine lands
-    /// exactly on `k` via batch truncation.
+    /// Executes exactly `k` interactions through [`ConfigSim::advance`]
+    /// (the batched engine lands on `k` via batch truncation).
     pub fn steps(&mut self, k: u64) {
-        if !self.adaptive && !self.gc {
-            match self.eng_mut() {
-                Engine::Sequential(s) => s.steps(k),
-                Engine::Batched(b) => b.steps(k),
-            }
-            if self.metrics.is_some() {
-                self.flush_telemetry();
-            }
-            return;
-        }
         let target = self.interactions() + k;
         while self.interactions() < target {
             self.advance(target - self.interactions());
@@ -1934,16 +1923,6 @@ impl<P: CountProtocol> ConfigSim<P> {
         check_every: u64,
         max_time: f64,
     ) -> RunOutcome {
-        if !self.adaptive && !self.gc {
-            let out = match self.eng_mut() {
-                Engine::Sequential(s) => s.run_until(predicate, check_every, max_time),
-                Engine::Batched(b) => b.run_until(predicate, check_every, max_time),
-            };
-            if self.metrics.is_some() {
-                self.flush_telemetry();
-            }
-            return out;
-        }
         assert!(check_every > 0, "check_every must be positive");
         let max_interactions = (max_time * self.population_size() as f64).ceil() as u64;
         loop {

@@ -824,7 +824,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ConfigSim;
+    use crate::batch::{ConfigSim, EngineMode};
     use crate::count_sim::CountSim;
     use crate::rng::derive_seed;
     use crate::sim::AgentSim;
@@ -1160,16 +1160,27 @@ mod tests {
         // the lane floor). Numeric ids drift between the GC-on and
         // GC-off runs, but the lane's expansion order, draw stream, and
         // first-occurrence collapse order are record-level invariants —
-        // so the decoded checkpoints must stay byte-identical.
-        let run = |gc: bool| {
+        // so the decoded checkpoints must stay byte-identical. The claim
+        // covers the pinned sequential mode as well as `Auto`, and both
+        // drivers: `steps` and the explicit `advance` loop `Simulation`
+        // runs (the chunk size between lane offers must not read the GC
+        // flag).
+        let run = |mode: EngineMode, via_advance: bool, gc: bool| {
             let interned = Interned::new(Churner);
             let handle = interned.handle();
             let config = interned.uniform_config(1_000);
-            let mut sim = ConfigSim::new(interned, config, 77);
+            let mut sim = ConfigSim::with_mode(interned, config, 77, mode);
             sim.set_gc(gc);
             let mut log = Vec::new();
             for _ in 0..40 {
-                sim.steps(50_000);
+                if via_advance {
+                    let target = sim.interactions() + 50_000;
+                    while sim.interactions() < target {
+                        sim.advance(target - sim.interactions());
+                    }
+                } else {
+                    sim.steps(50_000);
+                }
                 log.push((
                     sim.interactions(),
                     sorted_decode(&handle, &sim.config_view()),
@@ -1177,23 +1188,35 @@ mod tests {
             }
             (log, handle.discovered(), handle.total_interned())
         };
-        let (log_off, table_off, total_off) = run(false);
-        let (log_on, table_on, total_on) = run(true);
-        assert_eq!(log_off, log_on, "GC flag perturbed a lane trajectory");
-        // The lane collapses the table to the live support after every
-        // episode, in both runs — without it, the GC-off table would hold
-        // one entry per interaction (~2M here).
-        assert!(table_off < 1_024, "lane never compacted: {table_off} slots");
-        assert_eq!(table_off, table_on);
-        // Interning telemetry proves the lane actually ran: each of the
-        // 40 episode-ending collapses re-interns the live support (~125
-        // records), where a pure count-path run of a churner this size
-        // would have interned ~one record per interaction (~2M) instead.
-        assert!(
-            total_off > 1_000 && total_off < 100_000,
-            "interning telemetry off the lane profile: {total_off}"
-        );
-        assert_eq!(total_off, total_on);
+        for mode in [EngineMode::Auto, EngineMode::Sequential] {
+            for via_advance in [false, true] {
+                let case = format!("{mode:?}, via_advance={via_advance}");
+                let (log_off, table_off, total_off) = run(mode, via_advance, false);
+                let (log_on, table_on, total_on) = run(mode, via_advance, true);
+                assert_eq!(
+                    log_off, log_on,
+                    "{case}: GC flag perturbed a lane trajectory"
+                );
+                // The lane collapses the table to the live support after
+                // every episode, in both runs — without it, the GC-off
+                // table would hold one entry per interaction (~2M here).
+                assert!(
+                    table_off < 1_024,
+                    "{case}: lane never compacted: {table_off} slots"
+                );
+                assert_eq!(table_off, table_on, "{case}");
+                // Interning telemetry proves the lane actually ran: each
+                // of the 40 episode-ending collapses re-interns the live
+                // support (~125 records), where a pure count-path run of
+                // a churner this size would have interned ~one record per
+                // interaction (~2M) instead.
+                assert!(
+                    total_off > 1_000 && total_off < 100_000,
+                    "{case}: interning telemetry off the lane profile: {total_off}"
+                );
+                assert_eq!(total_off, total_on, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -351,133 +351,50 @@ where
     }
 }
 
-/// [`AgentSim`] with checkpoint support: delegates every [`Engine`]
-/// method and overrides [`Engine::snapshot`] under the [`SnapshotState`]
-/// bound. The wrapper (rather than a bound on the plain `Engine` impls)
-/// keeps checkpointing opt-in: protocols whose states have no codec build
-/// and run exactly as before.
-struct CheckpointAgent<P: Protocol>(AgentSim<P>)
-where
-    P::State: Eq + Hash;
-
-impl<P: Protocol> Engine<P::State> for CheckpointAgent<P>
-where
-    P::State: Eq + Hash + SnapshotState,
-{
-    fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
-    }
-
-    fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
-    }
-
-    fn time(&self) -> f64 {
-        Engine::time(&self.0)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
-    }
-
-    fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
-    }
-
-    fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_agent(&self.0))
-    }
-
-    fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
-    }
+/// Any [`Engine`] with checkpoint support: delegates every method and
+/// answers [`Engine::snapshot`] with `encode` — [`snapshot::encode_agent`],
+/// [`snapshot::encode_config_sim`], or [`snapshot::encode_interned`] on
+/// the interned engine's facade. The wrapper (rather than a
+/// [`SnapshotState`] bound on the plain `Engine` impls) keeps
+/// checkpointing opt-in: protocols whose states have no codec build and
+/// run exactly as before. The builders' `checkpoint_to` and `resume`
+/// pick the encoder, so the bound is checked there.
+struct Checkpointed<E> {
+    engine: E,
+    encode: fn(&E) -> Snapshot,
 }
 
-/// [`ConfigSim`] with checkpoint support (see [`CheckpointAgent`]).
-struct CheckpointConfig<P: CountProtocol>(ConfigSim<P>);
-
-impl<P: CountProtocol> Engine<P::State> for CheckpointConfig<P>
-where
-    P::State: SnapshotState,
-{
+impl<S, E: Engine<S>> Engine<S> for Checkpointed<E> {
     fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
+        self.engine.population_size()
     }
 
     fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
+        self.engine.interactions()
     }
 
     fn time(&self) -> f64 {
-        Engine::time(&self.0)
+        self.engine.time()
     }
 
     fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
+        self.engine.advance(budget)
     }
 
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
-    }
-
-    fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
-    }
-
-    fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_config_sim(&self.0))
-    }
-
-    fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
-    }
-}
-
-/// [`InternedEngine`] with checkpoint support (see [`CheckpointAgent`]):
-/// the snapshot additionally carries the interner table, its GC
-/// generation, and the deterministic certification.
-struct CheckpointInterned<P: Protocol>(InternedEngine<P>)
-where
-    P::State: Eq + Hash;
-
-impl<P: Protocol> Engine<P::State> for CheckpointInterned<P>
-where
-    P::State: Eq + Hash + SnapshotState,
-{
-    fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
-    }
-
-    fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
-    }
-
-    fn time(&self) -> f64 {
-        Engine::time(&self.0)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
+    fn view(&self) -> Vec<(S, u64)> {
+        self.engine.view()
     }
 
     fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
+        self.engine.kind()
     }
 
     fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_interned(&self.0.sim))
+        Ok((self.encode)(&self.engine))
     }
 
     fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
+        self.engine.set_metrics(metrics);
     }
 }
 
@@ -1160,8 +1077,14 @@ where
     {
         self.policy.checkpoint_path = Some(path.into());
         self.wrap = Some(Box::new(|built| match built {
-            BuiltAgentEngine::Agent(sim) => Box::new(CheckpointAgent(sim)),
-            BuiltAgentEngine::Interned(sim) => Box::new(CheckpointInterned(sim)),
+            BuiltAgentEngine::Agent(engine) => Box::new(Checkpointed {
+                engine,
+                encode: snapshot::encode_agent,
+            }),
+            BuiltAgentEngine::Interned(engine) => Box::new(Checkpointed {
+                engine,
+                encode: |e: &InternedEngine<P>| snapshot::encode_interned(&e.sim),
+            }),
         }));
         self
     }
@@ -1185,13 +1108,16 @@ where
     {
         let snap = Snapshot::read(path.as_ref())?;
         let engine: Box<dyn Engine<P::State> + 'a> = match snap.kind {
-            snapshot::KIND_AGENT => Box::new(CheckpointAgent(snapshot::decode_agent(
-                self.protocol,
-                &snap.body,
-            )?)),
+            snapshot::KIND_AGENT => Box::new(Checkpointed {
+                engine: snapshot::decode_agent(self.protocol, &snap.body)?,
+                encode: snapshot::encode_agent,
+            }),
             snapshot::KIND_INTERNED => {
                 let (sim, handle) = snapshot::decode_interned(self.protocol, &snap.body)?;
-                Box::new(CheckpointInterned(InternedEngine { sim, handle }))
+                Box::new(Checkpointed {
+                    engine: InternedEngine { sim, handle },
+                    encode: |e: &InternedEngine<P>| snapshot::encode_interned(&e.sim),
+                })
             }
             k => {
                 return Err(SnapshotError::Corrupt(format!(
@@ -1352,7 +1278,7 @@ enum CountInit<S: Copy + Ord + std::hash::Hash> {
 }
 
 /// Boxed closure turning the built [`ConfigSim`] into the final boxed
-/// engine — identity boxing by default, [`CheckpointConfig`] boxing when
+/// engine — identity boxing by default, [`Checkpointed`] boxing when
 /// [`CountSimulationBuilder::checkpoint_to`] was called.
 type CountWrap<'a, P> =
     Box<dyn FnOnce(ConfigSim<P>) -> Box<dyn Engine<<P as CountProtocol>::State> + 'a> + 'a>;
@@ -1458,7 +1384,12 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
         P::State: SnapshotState + 'a,
     {
         self.policy.checkpoint_path = Some(path.into());
-        self.wrap = Some(Box::new(|sim| Box::new(CheckpointConfig(sim))));
+        self.wrap = Some(Box::new(|engine| {
+            Box::new(Checkpointed {
+                engine,
+                encode: snapshot::encode_config_sim,
+            })
+        }));
         self
     }
 
@@ -1481,10 +1412,10 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
     {
         let snap = Snapshot::read(path.as_ref())?;
         let engine: Box<dyn Engine<P::State> + 'a> = match snap.kind {
-            snapshot::KIND_CONFIG => Box::new(CheckpointConfig(snapshot::decode_config_sim(
-                self.protocol,
-                &snap.body,
-            )?)),
+            snapshot::KIND_CONFIG => Box::new(Checkpointed {
+                engine: snapshot::decode_config_sim(self.protocol, &snap.body)?,
+                encode: snapshot::encode_config_sim,
+            }),
             k => {
                 return Err(SnapshotError::Corrupt(format!(
                     "snapshot engine tag {k} cannot resume a count-protocol simulation"
@@ -1588,6 +1519,37 @@ mod tests {
         assert!(out.converged);
         assert_eq!(sim.engine_kind(), EngineKind::Sequential);
         assert_eq!(sim.count(&9), 500);
+    }
+
+    #[test]
+    fn snapshot_without_checkpoint_support_is_unsupported() {
+        // Checkpointing is opt-in: an engine built without `checkpoint_to`
+        // refuses to snapshot, and writes no file.
+        fn assert_unsupported<S: Clone>(sim: &Simulation<'_, S>, path: &Path) {
+            let kind = sim.engine_kind();
+            assert!(
+                matches!(sim.snapshot_to(path), Err(SnapshotError::Unsupported)),
+                "{kind:?} engine without checkpoint_to must refuse to snapshot"
+            );
+            assert!(!path.exists(), "{kind:?} engine wrote a snapshot file");
+        }
+        let path = std::env::temp_dir().join(format!(
+            "pp_engine_unsupported_{}.ppsnap",
+            std::process::id()
+        ));
+        for mode in [SimMode::Agent, SimMode::Count(EngineMode::Auto)] {
+            let sim = Simulation::builder(MaxRecord)
+                .size(100)
+                .seed(5)
+                .mode(mode)
+                .build();
+            assert_unsupported(&sim, &path);
+        }
+        let sim = Simulation::count_builder(InfectionEpidemic)
+            .config([(false, 99), (true, 1)])
+            .seed(5)
+            .build();
+        assert_unsupported(&sim, &path);
     }
 
     #[test]
