@@ -724,6 +724,33 @@ mod tests {
     }
 
     #[test]
+    fn paper_scale_runs_ride_the_dense_lane() {
+        // At n = 100 the protocol's occupied support sits well above n/8
+        // but below the lane's absolute 64-record floor; the mean-count
+        // clause (≤ 8 agents per occupied record) must open the lane for
+        // nearly the whole run instead of leaving it on the count path.
+        use pp_engine::{Counter, Metrics};
+
+        for seed in 0..3 {
+            let m = Metrics::new();
+            let (out, _) = Simulation::builder(LogSizeEstimation::paper())
+                .size(100)
+                .seed(seed)
+                .mode(EngineMode::Auto)
+                .metrics(&m)
+                .max_time(2_000.0)
+                .until(|_: &[(MainState, u64)]| false)
+                .run();
+            let lane = m.counter(Counter::DenseLaneInteractions);
+            assert!(
+                lane as f64 >= 0.9 * out.interactions as f64,
+                "seed {seed}: only {lane} of {} interactions on the dense lane",
+                out.interactions
+            );
+        }
+    }
+
+    #[test]
     fn two_agents_still_make_progress() {
         // Degenerate n = 2: one A, one S. The protocol should still converge
         // (the estimate will be poor, but nothing deadlocks).

@@ -92,7 +92,9 @@
 //!   survivor count (`gc_pass` trace event).
 //! * `dense_lane_episodes` / `dense_lane_interactions` + the
 //!   `dense_lane_n` histogram — each per-agent lane episode taken by a
-//!   sequential advance (`dense_lane` trace event).
+//!   sequential advance (`dense_lane` trace event, carrying `n`, the
+//!   occupied `support` on entry, the episode length, and the running
+//!   interaction count).
 //! * `pair_cache_*` / `slot_*` — the wrapped adapter's cumulative
 //!   tallies, flushed as deltas at the same checkpoints.
 //!
@@ -1306,12 +1308,16 @@ const ENGINE_PRESENT: &str = "ConfigSim engine slot is always occupied";
 ///
 /// Sequential advances additionally offer table-backed protocols the
 /// **dense per-agent lane** (`advance_dense` on the `Interned` adapter):
-/// a counter-churning record protocol — occupied support past the lane
-/// floor — takes the whole remaining budget as one per-agent episode at
-/// the agent simulator's cost model, collapsing back to a canonical
-/// configuration at the end. Like GC and engine switching, the lane is
-/// trajectory-neutral, so when it engages (and on which engine history)
-/// is unobservable in the decoded run.
+/// a counter-churning record protocol — occupied support of at least 64
+/// records, or an average of at most 8 agents per occupied record — takes
+/// the whole remaining budget as one per-agent episode at the agent
+/// simulator's cost model, collapsing back to a canonical configuration
+/// at the end. Where the lane engages does change the seeded trajectory
+/// (it draws pairs differently from the count path), but engagement
+/// depends only on `(n, budget, occupied support)`: GC on or off,
+/// telemetry attached or not, and snapshot/restore histories therefore
+/// agree byte for byte, and the lane's law is the exact uniform
+/// ordered-pair process.
 ///
 /// ```
 /// use pp_engine::batch::ConfigSim;
@@ -1862,9 +1868,11 @@ impl<P: CountProtocol> ConfigSim<P> {
                 // costs more than it saves. The lane collapses to a
                 // canonical configuration before returning, so the
                 // adaptive / GC re-checks below see an ordinary
-                // sequential engine.
+                // sequential engine. It also rewrites the configuration,
+                // so the support it was offered on is read first.
+                let support = s.config().support_size() as u64;
                 if let Some(done) = s.advance_dense(budget) {
-                    lane = Some((s.population_size(), done, s.interactions()));
+                    lane = Some((s.population_size(), support, done, s.interactions()));
                     done
                 } else {
                     let chunked = adaptive || s.protocol().table_len().is_some();
@@ -1878,7 +1886,7 @@ impl<P: CountProtocol> ConfigSim<P> {
                 }
             }
         };
-        if let (Some((n, done, interactions)), Some(m)) = (lane, &self.metrics) {
+        if let (Some((n, support, done, interactions)), Some(m)) = (lane, &self.metrics) {
             m.incr(Counter::DenseLaneEpisodes);
             m.add(Counter::DenseLaneInteractions, done);
             m.record(Hist::DenseLaneN, n);
@@ -1886,6 +1894,7 @@ impl<P: CountProtocol> ConfigSim<P> {
                 "dense_lane",
                 &[
                     ("n", TraceValue::U64(n)),
+                    ("support", TraceValue::U64(support)),
                     ("episode_interactions", TraceValue::U64(done)),
                     ("interactions", TraceValue::U64(interactions)),
                 ],

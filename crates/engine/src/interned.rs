@@ -118,7 +118,8 @@
 //! * Counter-churning record protocols — support in the hundreds, a
 //!   fresh record minted on nearly every interaction — skip the
 //!   per-interaction interning economy altogether: once the occupied
-//!   support crosses the dense-lane floor, the adapter expands the
+//!   support crosses the dense-lane floor (64 records, or an average of
+//!   at most 8 agents per occupied record), the adapter expands the
 //!   configuration into one record per agent, runs the agent
 //!   simulator's exact interaction loop in place, and re-interns the
 //!   survivors once at the end (see `advance_dense`). The count engine
@@ -375,15 +376,26 @@ fn pair_key(rec: u32, sen: u32) -> u64 {
     (u64::from(rec) << 32) | u64::from(sen)
 }
 
-/// Dense-lane eligibility floor on the occupied support. Below it the
+/// Dense-lane eligibility floor on the occupied support. The lane opens
+/// when the support reaches this floor *or* the occupied records average
+/// at most [`LANE_MAX_MEAN_COUNT`] agents (`8 · support ≥ n`); for
+/// `n ≥ 512` the second clause implies the first. Below both the
 /// configuration machinery is already near-optimal — few states, high
 /// counts, pair-cache hits on the settled bulk — and the `O(n)`
-/// expand/collapse would be pure overhead. Above it the support is the
-/// signature of a churning record protocol (the paper's
+/// expand/collapse would be pure overhead. Above either the support is
+/// the signature of a churning record protocol (the paper's
 /// `Log-Size-Estimation` runs at polylog support, ~10²–10³ distinct
 /// records), where per-interaction Fenwick/intern work dwarfs the
 /// per-agent execution the lane substitutes.
 const LANE_MIN_SUPPORT: usize = 64;
+
+/// Dense-lane mean-occupancy ceiling: at small `n` the absolute
+/// [`LANE_MIN_SUPPORT`] floor is out of reach, yet when the average
+/// occupied record holds this many agents or fewer nearly every
+/// interaction still pays the count path's intern, slot register/release
+/// and Fenwick churn — so the lane opens on `LANE_MAX_MEAN_COUNT ·
+/// support ≥ n` as well.
+const LANE_MAX_MEAN_COUNT: u64 = 8;
 
 /// Dense-lane population ceiling. The lane materializes one record per
 /// agent for the episode, trading the count engine's `O(support)` memory
@@ -715,6 +727,11 @@ where
     ///   same invariants a GC pass restores — so snapshots, engine
     ///   switches, and observers see a canonical table.
     ///
+    /// Gates: the lane is taken only when `budget ≥ n`, `2 ≤ n ≤ 2²²`,
+    /// and the occupied support reaches 64 records or averages at most 8
+    /// agents per record (`8 · support ≥ n`). All three read only
+    /// `(n, budget, support)`.
+    ///
     /// The expand/collapse bracket is `O(n)` once per episode, and an
     /// episode spans the caller's whole budget — sub-nanosecond per
     /// interaction for any budget a few multiples of `n` (the `budget ≥
@@ -739,7 +756,8 @@ where
         if budget < n || !(2..=LANE_MAX_AGENTS).contains(&n) {
             return None;
         }
-        if config.support_size() < LANE_MIN_SUPPORT {
+        let support = config.support_size();
+        if support < LANE_MIN_SUPPORT && LANE_MAX_MEAN_COUNT * (support as u64) < n {
             return None;
         }
         let mut table = self.table.borrow_mut();
@@ -771,10 +789,9 @@ where
         }
         // Collapse: rank record values by first occurrence in the agent
         // scan; the SlotIndex dedupes value-equal records onto one rank.
-        let support_hint = config.support_size();
-        let mut canon_index = SlotIndex::with_capacity(support_hint);
-        let mut states: Vec<P::State> = Vec::with_capacity(support_hint);
-        let mut counts: Vec<u64> = Vec::with_capacity(support_hint);
+        let mut canon_index = SlotIndex::with_capacity(support);
+        let mut states: Vec<P::State> = Vec::with_capacity(support);
+        let mut counts: Vec<u64> = Vec::with_capacity(support);
         for state in &agents {
             let hash = fnv_hash(state);
             let rank = match canon_index.get(hash, |r| states[r as usize] == *state) {
@@ -826,7 +843,7 @@ mod tests {
     use super::*;
     use crate::batch::{ConfigSim, EngineMode};
     use crate::count_sim::CountSim;
-    use crate::rng::derive_seed;
+    use crate::rng::{derive_seed, rng_from_seed};
     use crate::sim::AgentSim;
     use rand::Rng;
 
@@ -1253,6 +1270,59 @@ mod tests {
             expect,
             "dense lane diverged from the agent simulator"
         );
+    }
+
+    /// Byte counter: the smallest record type that still churns, so the
+    /// gate test's `n = 2²²` row expands into a 4 MiB agent array.
+    struct ByteTick;
+
+    impl Protocol for ByteTick {
+        type State = u8;
+
+        fn initial_state(&self) -> u8 {
+            0
+        }
+
+        fn interact(&self, rec: &mut u8, _sen: &mut u8, _rng: &mut SimRng) {
+            *rec = rec.wrapping_add(1);
+        }
+    }
+
+    #[test]
+    fn dense_lane_gate_reads_support_mean_count_budget_and_ceiling() {
+        // (n, distinct records k, budget) → the lane's answer. Agents are
+        // split as evenly as possible over the k records.
+        let rows: [(u64, u64, u64, Option<u64>); 10] = [
+            // Mean-count clause: 8 · 12 < 100 declines, 8 · 13 ≥ 100 opens.
+            (100, 12, 100, None),
+            (100, 13, 100, Some(100)),
+            // Absolute floor: at n = 1000 the mean-count clause needs 125
+            // records, so 64 is what opens the lane.
+            (1_000, 63, 1_000, None),
+            (1_000, 64, 1_000, Some(1_000)),
+            // Budget gate: the expand/collapse bracket needs budget ≥ n.
+            (100, 50, 99, None),
+            (100, 50, 100, Some(100)),
+            (1_000, 200, 999, None),
+            (1_000, 200, 1_000, Some(1_000)),
+            // Population ceiling.
+            (LANE_MAX_AGENTS, 64, LANE_MAX_AGENTS, Some(LANE_MAX_AGENTS)),
+            (LANE_MAX_AGENTS + 1, 64, LANE_MAX_AGENTS + 1, None),
+        ];
+        for (n, k, budget, expect) in rows {
+            let interned = Interned::new(ByteTick);
+            let mut config =
+                interned.config_from_pairs((0..k).map(|v| (v as u8, n / k + u64::from(v < n % k))));
+            assert_eq!(config.support_size() as u64, k);
+            let before = config.clone();
+            let mut rng = rng_from_seed(5);
+            let got = CountProtocol::advance_dense(&interned, &mut config, &mut rng, budget);
+            assert_eq!(got, expect, "(n, k, budget) = ({n}, {k}, {budget})");
+            assert_eq!(config.population_size(), n);
+            if got.is_none() {
+                assert_eq!(config, before, "a declined lane touched the configuration");
+            }
+        }
     }
 
     /// Epoch counter with a *bounded* live support: equal-valued pairs
