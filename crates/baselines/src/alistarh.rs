@@ -49,15 +49,17 @@ impl WeakState {
 pub struct WeakEstimator;
 
 impl WeakEstimator {
-    /// Agreement: a single occupied state, and it has sampled. The shared
-    /// convergence predicate for [`weak_estimate`], the equivalence tests,
-    /// and the `bench_batch` completion workload.
+    /// Agreement: a single occupied state, and it has sampled, over a
+    /// materialized configuration (the builder-equivalence reference reads
+    /// it from `config_view()`).
     pub fn agreed(c: &CountConfiguration<WeakState>) -> bool {
         c.support_size() == 1 && c.iter().all(|(s, _)| s.sampled)
     }
 
     /// [`WeakEstimator::agreed`] over a decoded `(state, count)` view —
-    /// the [`Simulation`] observation surface.
+    /// the [`Simulation`] observation surface: the convergence predicate
+    /// of [`weak_estimate`], the equivalence tests and the `bench_batch`
+    /// completion workload.
     pub fn agreed_view(view: &[(WeakState, u64)]) -> bool {
         view.len() == 1 && view.iter().all(|(s, _)| s.sampled)
     }
@@ -209,22 +211,14 @@ mod tests {
                 .map(|t| {
                     let config = CountConfiguration::uniform(WeakState::initial(), n);
                     let seed = derive_seed(stream, t);
-                    let pred = WeakEstimator::agreed;
-                    if batched {
-                        let mut sim = BatchedCountSim::new(WeakEstimator, config, seed);
-                        let out = sim.run_until(pred, n, f64::MAX);
-                        assert!(out.converged);
-                        sim.config_view()
-                            .iter()
-                            .map(|(s, _)| s.value)
-                            .max()
-                            .unwrap() as f64
+                    let mut sim = Simulation::from_engine(if batched {
+                        Box::new(BatchedCountSim::new(WeakEstimator, config, seed))
                     } else {
-                        let mut sim = CountSim::new(WeakEstimator, config, seed);
-                        let out = sim.run_until(pred, n, f64::MAX);
-                        assert!(out.converged);
-                        sim.config().iter().map(|(s, _)| s.value).max().unwrap() as f64
-                    }
+                        Box::new(CountSim::new(WeakEstimator, config, seed))
+                    });
+                    let out = sim.run_until(WeakEstimator::agreed_view, f64::MAX);
+                    assert!(out.converged);
+                    sim.view().iter().map(|(s, _)| s.value).max().unwrap() as f64
                 })
                 .sum::<f64>()
                 / trials as f64

@@ -117,6 +117,7 @@ mod tests {
     use super::*;
     use pp_engine::batch::ConfigSim;
     use pp_engine::count_sim::CountConfiguration;
+    use pp_engine::Engine as _;
 
     #[test]
     fn expected_kex_is_floor_log2() {

@@ -139,7 +139,7 @@ pub fn run_exact_count(n: usize, seed: u64, max_time: f64) -> CountOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::AgentSim;
+    use pp_engine::{AgentSim, Engine as _};
 
     #[test]
     fn counts_exactly_for_several_sizes() {
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn without_leader_nothing_happens() {
         let mut sim = AgentSim::new(ExactLeaderCount::default(), 50, 1);
-        sim.run_for_time(100.0);
+        sim.steps(100 * 50);
         assert!(sim
             .states()
             .iter()

@@ -232,6 +232,7 @@ mod tests {
     use super::*;
     use pp_engine::batch::ConfigSim;
     use pp_engine::count_sim::CountConfiguration;
+    use pp_engine::Engine as _;
 
     use pp_analysis::stats::Summary;
 
@@ -267,9 +268,13 @@ mod tests {
 
     #[test]
     fn termination_spreads_after_signal() {
-        let config = CountConfiguration::uniform(FixedState::Counting(0), 1000);
-        let mut sim = ConfigSim::new(FixedCounter { threshold: 20 }, config, 3);
-        let out = sim.run_until(|c| c.count(&FixedState::Terminated) == 1000, 100, f64::MAX);
+        let (out, _) = Simulation::count_builder(FixedCounter { threshold: 20 })
+            .uniform(FixedState::Counting(0))
+            .size(1000)
+            .seed(3)
+            .check_every(100)
+            .until(|view| count_of(view, &FixedState::Terminated) == 1000)
+            .run();
         assert!(out.converged);
     }
 
@@ -287,7 +292,7 @@ mod tests {
         // long runs (needed for CountSim efficiency).
         let config = CountConfiguration::uniform(GeoState::Fresh, 10_000);
         let mut sim = ConfigSim::new(GeometricTimer { scale: 10 }, config, 4);
-        sim.run_for_time(3.0);
+        sim.steps(3 * 10_000);
         assert!(
             sim.config_view().support_size() < 400,
             "support {} too large",

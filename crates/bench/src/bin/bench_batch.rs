@@ -41,6 +41,14 @@
 //! * **`completion`**: run until the protocol's convergence predicate
 //!   holds (every agent infected / all agents agree on the settled max).
 //!
+//! The `epidemic` and `weak_estimator` rows time the bare `CountSim` and
+//! `BatchedCountSim` through the `Engine` trait, not the `ConfigSim`
+//! facade (whose per-advance cost would blur the engine ratio):
+//! `fixed_time` is one `Engine::steps` call, and `completion` is a local
+//! loop, not `Simulation`, that checks the predicate on the decoded view
+//! and then runs `n/8` interactions, until it holds — a finer cadence
+//! than `Simulation`'s default of one check per `n`.
+//!
 //! Interactions per second and the batched/sequential speedup are recorded
 //! per workload so future PRs have a perf trajectory. Results land in
 //! `BENCH_batch.json` in the current directory.
@@ -74,7 +82,7 @@ use pp_engine::batch::BatchedCountSim;
 use pp_engine::count_sim::{CountConfiguration, CountProtocol, CountSim};
 use pp_engine::epidemic::InfectionEpidemic;
 use pp_engine::rng::derive_seed;
-use pp_engine::{EngineMode, Metrics, Protocol, SimMode, Simulation};
+use pp_engine::{count_of, Engine, EngineMode, Metrics, Protocol, SimMode, Simulation};
 
 struct Measurement {
     trials: u64,
@@ -89,10 +97,10 @@ impl Measurement {
 }
 
 /// One benchmarkable protocol: initial configuration plus completion
-/// predicate.
-trait Workload: CountProtocol + Copy {
+/// predicate over the decoded `(state, count)` view.
+trait Workload: CountProtocol + Copy + 'static {
     fn config(n: u64) -> CountConfiguration<Self::State>;
-    fn complete(c: &CountConfiguration<Self::State>, n: u64) -> bool;
+    fn complete(view: &[(Self::State, u64)], n: u64) -> bool;
 }
 
 impl Workload for InfectionEpidemic {
@@ -100,8 +108,8 @@ impl Workload for InfectionEpidemic {
         CountConfiguration::from_pairs([(false, n - 1), (true, 1)])
     }
 
-    fn complete(c: &CountConfiguration<bool>, n: u64) -> bool {
-        c.count(&true) == n
+    fn complete(view: &[(bool, u64)], n: u64) -> bool {
+        count_of(view, &true) == n
     }
 }
 
@@ -110,8 +118,8 @@ impl Workload for WeakEstimator {
         CountConfiguration::uniform(WeakState::initial(), n)
     }
 
-    fn complete(c: &CountConfiguration<WeakState>, _n: u64) -> bool {
-        WeakEstimator::agreed(c)
+    fn complete(view: &[(WeakState, u64)], _n: u64) -> bool {
+        WeakEstimator::agreed_view(view)
     }
 }
 
@@ -133,27 +141,22 @@ fn run<P: Workload + Default>(
     let mut interactions = 0;
     for t in 0..trials {
         let seed = derive_seed(base_seed, t);
-        let done = if batched {
+        let mut engine: Box<dyn Engine<P::State>> = if batched {
             let mut sim = BatchedCountSim::new(P::default(), P::config(n), seed);
             sim.set_metrics(metrics.clone());
-            if fixed_time {
-                sim.run_for_time(sim_time);
-            } else {
-                let out = sim.run_until(|c| P::complete(c, n), (n / 8).max(1), f64::MAX);
-                assert!(out.converged);
-            }
-            sim.interactions()
+            Box::new(sim)
         } else {
-            let mut sim = CountSim::new(P::default(), P::config(n), seed);
-            if fixed_time {
-                sim.run_for_time(sim_time);
-            } else {
-                let out = sim.run_until(|c| P::complete(c, n), (n / 8).max(1), f64::MAX);
-                assert!(out.converged);
-            }
-            sim.interactions()
+            Box::new(CountSim::new(P::default(), P::config(n), seed))
         };
-        interactions += done;
+        if fixed_time {
+            engine.steps((sim_time * n as f64).ceil() as u64);
+        } else {
+            // Check, then run `n/8` interactions, until complete.
+            while !P::complete(&engine.view(), n) {
+                engine.steps((n / 8).max(1));
+            }
+        }
+        interactions += engine.interactions();
     }
     Measurement {
         trials,

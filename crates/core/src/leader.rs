@@ -158,13 +158,6 @@ pub fn run_terminating(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome
     terminating_in_mode(n, seed, max_time, EngineMode::Auto.into())
 }
 
-/// [`run_terminating`] — the count engine is the default now, so this is
-/// the same run; retained for callers written against the pre-GC surface,
-/// where the count engine was the opt-in.
-pub fn run_terminating_counted(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
-    terminating_in_mode(n, seed, max_time, EngineMode::Auto.into())
-}
-
 /// [`run_terminating`] pinned to the per-agent engine: one record per
 /// agent, no interning. The statistical-equivalence suite holds this and
 /// the count-engine default to the same law; protocol-property tests that

@@ -390,24 +390,6 @@ pub fn estimate_log_size(n: usize, seed: u64, max_time: Option<f64>) -> Estimate
     estimate_with(LogSizeEstimation::paper(), n, seed, max_time)
 }
 
-/// [`estimate_log_size`] — the count engine is the default now, so this
-/// is the same run; retained for callers written against the pre-GC
-/// surface, where the count engine was the opt-in.
-pub fn estimate_log_size_counted(n: usize, seed: u64, max_time: Option<f64>) -> EstimateOutcome {
-    estimate_counted(LogSizeEstimation::paper(), n, seed, max_time)
-}
-
-/// [`estimate_log_size_counted`] with explicit protocol constants (same
-/// engine as [`estimate_with`], kept for the pre-GC callers).
-pub fn estimate_counted(
-    protocol: LogSizeEstimation,
-    n: usize,
-    seed: u64,
-    max_time: Option<f64>,
-) -> EstimateOutcome {
-    estimate_in_mode(protocol, n, seed, max_time, EngineMode::Auto.into())
-}
-
 /// [`estimate_log_size`] with explicit protocol constants (count engine,
 /// like every default run).
 pub fn estimate_with(
@@ -680,7 +662,7 @@ mod tests {
         // table grows without bound. With GC it must stay within a small
         // multiple of the live support, for as long as the run continues.
         use pp_engine::batch::ConfigSim;
-        use pp_engine::Interned;
+        use pp_engine::{Engine as _, Interned};
 
         let n = 200usize;
         let interned = Interned::new(LogSizeEstimation::paper());
@@ -692,15 +674,17 @@ mod tests {
         // exercises the per-interaction interning path the GC serves;
         // the lane-active bound is covered by the `dense_lane_*` tests
         // in pp-engine.
-        let out = sim.run_until(
-            |c| is_converged_counts(&handle.decode(c)),
-            (n / 2) as u64,
-            default_time_budget(n as u64),
-        );
-        assert!(out.converged);
+        let budget = (default_time_budget(n as u64) * n as f64).ceil() as u64;
+        while !is_converged_counts(&handle.decode(&sim.config_view())) {
+            assert!(
+                sim.interactions() < budget,
+                "no convergence within the budget"
+            );
+            sim.steps((n / 2) as u64);
+        }
         // Keep churning well past convergence: the table bound must hold
         // in steady state, not just at the convergence checkpoint.
-        for _ in 0..out.interactions / (n as u64) {
+        for _ in 0..sim.interactions() / (n as u64) {
             sim.steps((n / 2) as u64);
         }
         let live = sim.config_view().support_size();

@@ -170,27 +170,47 @@ impl Default for LeaderClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::AgentSim;
+    use pp_engine::{AgentSim, Simulation};
+
+    /// The leaderless clock on the agent engine, driven by [`Simulation`]
+    /// (one check per parallel-time unit).
+    fn clock_sim(n: usize, seed: u64) -> Simulation<'static, ClockState> {
+        Simulation::from_engine(Box::new(AgentSim::new(
+            LeaderlessPhaseClock::default(),
+            n,
+            seed,
+        )))
+    }
+
+    /// Every agent has reached `stage`.
+    fn all_at_stage(stage: u64) -> impl FnMut(&[(ClockState, u64)]) -> bool {
+        move |view| view.iter().all(|(c, _)| c.stage >= stage)
+    }
+
+    /// The occupied clock states of a view (skew ignores multiplicity).
+    fn occupied(view: &[(ClockState, u64)]) -> Vec<ClockState> {
+        view.iter().map(|&(c, _)| c).collect()
+    }
 
     #[test]
     fn clock_advances_through_stages() {
-        let mut sim = AgentSim::new(LeaderlessPhaseClock::default(), 300, 1);
-        let out = sim.run_until_converged(|s| s.iter().all(|c| c.stage >= 3), 100_000.0);
+        let mut sim = clock_sim(300, 1);
+        let out = sim.run_until(all_at_stage(3), 100_000.0);
         assert!(out.converged, "clock never reached stage 3");
     }
 
     #[test]
     fn stage_skew_stays_small_after_settling() {
         let n = 500;
-        let mut sim = AgentSim::new(LeaderlessPhaseClock::default(), n, 2);
+        let mut sim = clock_sim(n, 2);
         // Let the estimate settle and a few stages elapse.
-        let settle = sim.run_until_converged(|s| s.iter().all(|c| c.stage >= 2), 100_000.0);
+        let settle = sim.run_until(all_at_stage(2), 100_000.0);
         assert!(settle.converged);
         // Over the next stages, skew should never exceed 1 (sampled each
         // parallel-time unit).
         for _ in 0..200 {
             sim.run_for_time(1.0);
-            let skew = stage_skew(sim.states());
+            let skew = stage_skew(&occupied(&sim.view()));
             assert!(skew <= 1, "stage skew {skew} > 1");
         }
     }
@@ -202,12 +222,13 @@ mod tests {
         // time to go from stage 2 to stage 12 to be roughly 10·95·s/2,
         // within a generous band.
         let n = 400;
-        let mut sim = AgentSim::new(LeaderlessPhaseClock::default(), n, 3);
-        let r1 = sim.run_until_converged(|s| s.iter().all(|c| c.stage >= 2), 200_000.0);
+        let mut sim = clock_sim(n, 3);
+        let r1 = sim.run_until(all_at_stage(2), 200_000.0);
         assert!(r1.converged);
-        let s_est = sim.states()[0].estimate;
+        // The view's first pair holds agent 0's state.
+        let s_est = sim.view()[0].0.estimate;
         let t0 = sim.time();
-        let r2 = sim.run_until_converged(|s| s.iter().all(|c| c.stage >= 12), 400_000.0);
+        let r2 = sim.run_until(all_at_stage(12), 400_000.0);
         assert!(r2.converged);
         let per_stage = (sim.time() - t0) / 10.0;
         let nominal = 95.0 * s_est as f64 / 2.0;
@@ -219,10 +240,11 @@ mod tests {
 
     #[test]
     fn estimates_agree_after_epidemic() {
-        let mut sim = AgentSim::new(LeaderlessPhaseClock::default(), 200, 4);
+        let mut sim = clock_sim(200, 4);
         sim.run_for_time(200.0);
-        let est0 = sim.states()[0].estimate;
-        assert!(sim.states().iter().all(|c| c.estimate == est0));
+        let view = sim.view();
+        let est0 = view[0].0.estimate;
+        assert!(view.iter().all(|(c, _)| c.estimate == est0));
         assert!(est0 >= 3, "estimate includes the +2 offset");
     }
 

@@ -113,7 +113,6 @@ use crate::count_sim::{
 };
 use crate::rng::{geometric, hypergeometric, multinomial_conditional, rng_from_seed, SimRng};
 use crate::scheduler::parallel_time;
-use crate::sim::RunOutcome;
 use crate::slot_index::{fnv_hash, SlotIndex, SlotIndexStats};
 
 /// A [`CountProtocol`] whose transition function is a pure function of the
@@ -1042,59 +1041,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         }
         id
     }
-
-    /// Executes at least `k` interactions (to the nearest batch truncation,
-    /// which lands exactly on `k`).
-    pub fn steps(&mut self, k: u64) {
-        let target = self.interactions + k;
-        while self.interactions < target {
-            self.advance(target - self.interactions);
-        }
-    }
-
-    /// Runs for `t` units of parallel time.
-    pub fn run_for_time(&mut self, t: f64) {
-        self.steps((t * self.n as f64).ceil() as u64);
-    }
-
-    /// Runs until `predicate(config)` holds, checking every `check_every`
-    /// interactions, within a parallel-time budget. Semantics match
-    /// [`CountSim::run_until`]; the predicate sees a materialized
-    /// configuration view at each checkpoint.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&CountConfiguration<P::State>) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        assert!(check_every > 0, "check_every must be positive");
-        let max_interactions = (max_time * self.n as f64).ceil() as u64;
-        if predicate(&self.config_view()) {
-            return RunOutcome {
-                converged: true,
-                time: self.time(),
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let target = (self.interactions + check_every).min(max_interactions);
-            while self.interactions < target {
-                self.advance(target - self.interactions);
-            }
-            if predicate(&self.config_view()) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome {
-            converged: false,
-            time: self.time(),
-            interactions: self.interactions,
-        }
-    }
 }
 
 impl<P: CountProtocol> std::fmt::Debug for BatchedCountSim<P> {
@@ -1323,11 +1269,13 @@ const ENGINE_PRESENT: &str = "ConfigSim engine slot is always occupied";
 /// use pp_engine::batch::ConfigSim;
 /// use pp_engine::count_sim::CountConfiguration;
 /// use pp_engine::epidemic::InfectionEpidemic;
+/// use pp_engine::simulation::{count_of, Simulation};
 ///
 /// let config = CountConfiguration::from_pairs([(false, 99_999), (true, 1)]);
-/// let mut sim = ConfigSim::new(InfectionEpidemic, config, 7);
+/// let sim = ConfigSim::new(InfectionEpidemic, config, 7);
 /// assert!(sim.is_batched());
-/// let out = sim.run_until(|c| c.count(&true) == 100_000, 10_000, f64::MAX);
+/// let mut sim = Simulation::from_engine(Box::new(sim));
+/// let out = sim.run_until(|view| count_of(view, &true) == 100_000, f64::MAX);
 /// assert!(out.converged);
 /// ```
 pub struct ConfigSim<P: CountProtocol> {
@@ -1881,7 +1829,9 @@ impl<P: CountProtocol> ConfigSim<P> {
                     } else {
                         budget
                     };
-                    s.steps(chunk);
+                    for _ in 0..chunk {
+                        s.step();
+                    }
                     chunk
                 }
             }
@@ -1909,62 +1859,6 @@ impl<P: CountProtocol> ConfigSim<P> {
         }
         executed
     }
-
-    /// Executes exactly `k` interactions through [`ConfigSim::advance`]
-    /// (the batched engine lands on `k` via batch truncation).
-    pub fn steps(&mut self, k: u64) {
-        let target = self.interactions() + k;
-        while self.interactions() < target {
-            self.advance(target - self.interactions());
-        }
-    }
-
-    /// Runs for `t` units of parallel time.
-    pub fn run_for_time(&mut self, t: f64) {
-        self.steps((t * self.population_size() as f64).ceil() as u64);
-    }
-
-    /// Runs until `predicate(config)` holds, checking every `check_every`
-    /// interactions, within a parallel-time budget.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&CountConfiguration<P::State>) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        assert!(check_every > 0, "check_every must be positive");
-        let max_interactions = (max_time * self.population_size() as f64).ceil() as u64;
-        loop {
-            if self.check_predicate(&mut predicate) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions(),
-                };
-            }
-            if self.interactions() >= max_interactions {
-                return RunOutcome {
-                    converged: false,
-                    time: self.time(),
-                    interactions: self.interactions(),
-                };
-            }
-            let target = (self.interactions() + check_every).min(max_interactions);
-            while self.interactions() < target {
-                self.advance(target - self.interactions());
-            }
-        }
-    }
-
-    fn check_predicate(
-        &self,
-        predicate: &mut impl FnMut(&CountConfiguration<P::State>) -> bool,
-    ) -> bool {
-        match self.eng() {
-            Engine::Sequential(s) => predicate(s.config()),
-            Engine::Batched(b) => predicate(&b.config_view()),
-        }
-    }
 }
 
 impl<P: CountProtocol> std::fmt::Debug for ConfigSim<P> {
@@ -1979,6 +1873,7 @@ impl<P: CountProtocol> std::fmt::Debug for ConfigSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::{count_of, view_population, Engine as _, EngineKind, Simulation};
 
     /// One-way infection epidemic (deterministic).
     #[derive(Clone, Copy)]
@@ -2067,9 +1962,14 @@ mod tests {
     #[test]
     fn batched_epidemic_infects_everyone() {
         let n = 100_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = BatchedCountSim::new(Infection, config, 5);
-        let out = sim.run_until(|c| c.count(&1) == n, n / 10, 200.0);
+        let (out, _) = Simulation::count_builder(Infection)
+            .mode(EngineMode::Batched)
+            .config([(0u8, n - 1), (1u8, 1)])
+            .seed(5)
+            .check_every(n / 10)
+            .max_time(200.0)
+            .until(|v| count_of(v, &1) == n)
+            .run();
         assert!(out.converged);
         // Epidemic completes in ~2 ln n ≈ 23 parallel time.
         assert!(out.time > 5.0 && out.time < 60.0, "time {}", out.time);
@@ -2078,23 +1978,18 @@ mod tests {
     #[test]
     fn batched_is_deterministic_given_seed() {
         let run = |seed| {
-            let config = CountConfiguration::from_pairs([(0u8, 49_999), (1u8, 1)]);
-            let mut sim = BatchedCountSim::new(Infection, config, seed);
-            sim.run_until(|c| c.count(&1) == 50_000, 1_000, 100.0)
-                .interactions
+            let (out, _) = Simulation::count_builder(Infection)
+                .mode(EngineMode::Batched)
+                .config([(0u8, 49_999), (1u8, 1)])
+                .seed(seed)
+                .check_every(1_000)
+                .max_time(100.0)
+                .until(|v| count_of(v, &1) == 50_000)
+                .run();
+            out.interactions
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn steps_lands_exactly_on_target() {
-        let config = CountConfiguration::from_pairs([(0u8, 99_999), (1u8, 1)]);
-        let mut sim = BatchedCountSim::new(Infection, config, 9);
-        sim.steps(12_345);
-        assert_eq!(sim.interactions(), 12_345);
-        sim.steps(1);
-        assert_eq!(sim.interactions(), 12_346);
     }
 
     #[test]
@@ -2182,9 +2077,14 @@ mod tests {
         // Lazy copying is a consensus process; the batched engine must
         // drive it to an absorbing state through the multinomial path.
         let n = 20_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n / 2), (1u8, n / 2)]);
-        let mut sim = BatchedCountSim::new(LazyCopy, config, 99);
-        let out = sim.run_until(|c| c.count(&0) == n || c.count(&1) == n, n / 10, 100_000.0);
+        let (out, sim) = Simulation::count_builder(LazyCopy)
+            .mode(EngineMode::Batched)
+            .config([(0u8, n / 2), (1u8, n / 2)])
+            .seed(99)
+            .check_every(n / 10)
+            .max_time(100_000.0)
+            .until(|v| count_of(v, &0) == n || count_of(v, &1) == n)
+            .run();
         assert!(out.converged, "lazy copying never reached consensus");
         assert_eq!(sim.count(&0) + sim.count(&1), n);
     }
@@ -2225,15 +2125,18 @@ mod tests {
     #[test]
     fn facade_run_until_matches_sequential_semantics() {
         let n = 50_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = ConfigSim::new(Infection, config, 31);
-        assert!(sim.is_batched());
-        let out = sim.run_until(|c| c.count(&1) == n, n / 10, 500.0);
+        let mut sim = Simulation::count_builder(Infection)
+            .config([(0u8, n - 1), (1u8, 1)])
+            .seed(31)
+            .check_every(n / 10)
+            .build();
+        assert_eq!(sim.engine_kind(), EngineKind::Batched);
+        let out = sim.run_until(|v| count_of(v, &1) == n, 500.0);
         assert!(out.converged);
         assert_eq!(sim.count(&1), n);
-        assert_eq!(sim.config_view().population_size(), n);
+        assert_eq!(view_population(&sim.view()), n);
         // Already-converged predicate returns immediately.
-        let out2 = sim.run_until(|c| c.count(&1) == n, 1, 1.0);
+        let out2 = sim.run_until(|v| count_of(v, &1) == n, 1.0);
         assert!(out2.converged);
         assert_eq!(out2.interactions, out.interactions);
     }
@@ -2291,16 +2194,21 @@ mod tests {
     #[test]
     fn adaptive_adopts_batching_when_support_is_tiny() {
         let n = 100_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = ConfigSim::new(ShyInfection, config, 9);
-        assert!(
-            !sim.is_batched(),
+        let mut sim = Simulation::count_builder(ShyInfection)
+            .config([(0u8, n - 1), (1u8, 1)])
+            .seed(9)
+            .check_every((n / 10).max(1))
+            .build();
+        assert_eq!(
+            sim.engine_kind(),
+            EngineKind::Sequential,
             "prefers_batching = false starts sequential"
         );
-        let out = sim.run_until(|c| c.count(&1) == n, (n / 10).max(1), f64::MAX);
+        let out = sim.run_until(|v| count_of(v, &1) == n, f64::MAX);
         assert!(out.converged);
-        assert!(
-            sim.engine_switches() >= 1,
+        assert_eq!(
+            sim.engine_kind(),
+            EngineKind::Batched,
             "2-state support at n = 10⁵ should have upswitched"
         );
         assert_eq!(sim.count(&1), n);

@@ -31,6 +31,7 @@
 //! use pp_engine::interned::Interned;
 //! use pp_engine::protocol::Protocol;
 //! use pp_engine::rng::SimRng;
+//! use pp_engine::simulation::{count_of, Simulation};
 //!
 //! struct Epidemic;
 //! impl Protocol for Epidemic {
@@ -46,10 +47,14 @@
 //! let interned = Interned::new(Epidemic);
 //! let handle = interned.handle();
 //! let config = interned.config_from_pairs([(false, 999), (true, 1)]);
-//! let mut sim = ConfigSim::new(interned, config, 7);
-//! // Look states up through the handle per query — raw ids are
-//! // invalidated whenever a GC pass compacts the table (see below).
-//! let out = sim.run_until(|c| handle.count_of(c, &true) == 1000, 100, f64::MAX);
+//! let mut sim = Simulation::from_engine(Box::new(ConfigSim::new(interned, config, 7)));
+//! // The view holds raw ids: look states up through the handle per
+//! // query — ids are invalidated whenever a GC pass compacts the table
+//! // (see below).
+//! let all_infected = |view: &[(u32, u64)]| {
+//!     handle.id_of(&true).is_some_and(|id| count_of(view, &id) == 1000)
+//! };
+//! let out = sim.run_until(all_infected, f64::MAX);
 //! assert!(out.converged);
 //! ```
 //!
@@ -408,7 +413,7 @@ const LANE_MAX_AGENTS: u64 = 1 << 22;
 
 /// A cloneable handle onto an [`Interned`] adapter's id ↔ state table.
 ///
-/// Lets harness code decode slot ids inside `run_until` predicates while the
+/// Lets harness code decode slot ids inside run predicates while the
 /// simulator owns the protocol (both share the table through an `Rc`).
 #[derive(Debug)]
 pub struct InternerHandle<S> {
@@ -520,15 +525,6 @@ where
             deterministic: true,
             ..Self::new(protocol)
         }
-    }
-
-    /// Pair-cache telemetry: `(hits, misses)` since construction. A miss
-    /// is any probe that fell through to the full decode/interact path
-    /// (including randomized pairs, which are never admitted).
-    #[doc(hidden)]
-    pub fn pair_cache_stats(&self) -> (u64, u64) {
-        let cache = self.cache.borrow();
-        (cache.hits, cache.misses)
     }
 
     /// A handle for decoding slot ids back into protocol states.
@@ -845,6 +841,7 @@ mod tests {
     use crate::count_sim::CountSim;
     use crate::rng::{derive_seed, rng_from_seed};
     use crate::sim::AgentSim;
+    use crate::simulation::{view_population, Engine as _, Simulation};
     use rand::Rng;
 
     /// Max-propagation epidemic with a record state (not `Copy`).
@@ -895,19 +892,18 @@ mod tests {
                 499,
             ),
         ]);
-        let mut sim = CountSim::new(interned, config, 3);
+        let mut sim = Simulation::from_engine(Box::new(CountSim::new(interned, config, 3)));
         let out = sim.run_until(
-            |c| {
-                handle
-                    .decode(c)
-                    .iter()
-                    .all(|(s, _)| s.value == 9 && s.touched)
+            |view| {
+                view.iter().all(|&(id, _)| {
+                    let s = handle.state_of(id);
+                    s.value == 9 && s.touched
+                })
             },
-            100,
             10_000.0,
         );
         assert!(out.converged, "max never propagated");
-        assert_eq!(sim.config().population_size(), 500);
+        assert_eq!(view_population(&sim.view()), 500);
     }
 
     #[test]
@@ -932,35 +928,23 @@ mod tests {
         let mean = |batched: bool, stream: u64| -> f64 {
             (0..trials)
                 .map(|t| {
-                    let interned = Interned::deterministic(MaxRecord);
-                    let handle = interned.handle();
-                    let config = interned.config_from_pairs([
-                        (
-                            Record {
-                                value: 1,
-                                touched: false,
-                            },
-                            1,
-                        ),
-                        (
-                            Record {
-                                value: 0,
-                                touched: false,
-                            },
-                            n - 1,
-                        ),
-                    ]);
-                    let seed = derive_seed(stream, t);
-                    let mut sim = if batched {
-                        ConfigSim::batched(interned, config, seed)
-                    } else {
-                        ConfigSim::sequential(interned, config, seed)
+                    let record = |value| Record {
+                        value,
+                        touched: false,
                     };
-                    let out = sim.run_until(
-                        |c| handle.decode(c).iter().all(|(s, _)| s.value == 1),
-                        n / 20,
-                        f64::MAX,
-                    );
+                    let (out, _) = Simulation::builder(MaxRecord)
+                        .deterministic()
+                        .mode(if batched {
+                            EngineMode::Batched
+                        } else {
+                            EngineMode::Sequential
+                        })
+                        .size(n)
+                        .init_config([(record(1), 1), (record(0), n - 1)])
+                        .seed(derive_seed(stream, t))
+                        .check_every(n / 20)
+                        .until(|view| view.iter().all(|(s, _)| s.value == 1))
+                        .run();
                     assert!(out.converged);
                     out.time
                 })
@@ -1179,9 +1163,8 @@ mod tests {
         // first-occurrence collapse order are record-level invariants —
         // so the decoded checkpoints must stay byte-identical. The claim
         // covers the pinned sequential mode as well as `Auto`, and both
-        // drivers: `steps` and the explicit `advance` loop `Simulation`
-        // runs (the chunk size between lane offers must not read the GC
-        // flag).
+        // drivers: `Engine::steps` and an explicit `advance` loop (the
+        // chunk size between lane offers must not read the GC flag).
         let run = |mode: EngineMode, via_advance: bool, gc: bool| {
             let interned = Interned::new(Churner);
             let handle = interned.handle();
@@ -1247,7 +1230,7 @@ mod tests {
         // record value, after which the two simulators agree in law but
         // not per index.
         let n = 1_000u64;
-        let steps = 3_000u64; // one `ConfigSim::steps` call: one episode spans it
+        let steps = 3_000u64; // one `Engine::steps` call: one episode spans it
         let mut agent = AgentSim::with_inputs(Churner, n as usize, 4242);
         agent.steps(steps);
         let mut expect: Vec<(Record, u64)> = Vec::new();

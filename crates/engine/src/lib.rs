@@ -155,16 +155,16 @@
 //!
 //! ## Deprecation path
 //!
-//! Before the builder, this workspace exposed ~20 bespoke free functions
-//! (`run_terminating_counted`, `estimate_log_size_counted`, …), each
-//! hard-coding its engine, init, stop rule, and observation. The surviving
-//! ones in `pp-core`/`pp-baselines` are now thin builder invocations kept
-//! as conveniences; functions superseded outright — most recently the
-//! engine-hook variants `epidemic_*_time_with`, whose job
-//! `.mode(ctx.engine)` does — go through one release as `#[deprecated]`
-//! and are then removed. Trial fan-out (`run_trials_threaded`) moved to the sweep
-//! orchestration layer: use `pp_sweep::trials` or, better, a
-//! `pp_sweep::SweepSpec` over the experiment registry.
+//! The free functions left in `pp-core`/`pp-baselines` (`estimate_*`,
+//! `run_*`, and the `*_agentwise` variants that pin the per-agent engine
+//! for cross-engine validation) are thin builder invocations kept as
+//! conveniences. A function the builder supersedes outright goes through
+//! one release as `#[deprecated]` and is then removed; none is pending
+//! now. The engines carry no run drivers of their own: library code runs
+//! them through [`Simulation`], with [`Simulation::from_engine`] for an
+//! engine built by hand. Trial fan-out lives in the sweep orchestration layer:
+//! use `pp_sweep::trials` or, better, a `pp_sweep::SweepSpec` over the
+//! experiment registry.
 //!
 //! ## Model fidelity
 //!

@@ -132,77 +132,6 @@ impl<P: Protocol> AgentSim<P> {
         }
         self.interactions += 1;
     }
-
-    /// Executes `k` interactions.
-    pub fn steps(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
-    }
-
-    /// Runs until `k` interactions total have been executed (no-op if already
-    /// past `k`).
-    pub fn run_until_interactions(&mut self, k: u64) {
-        while self.interactions < k {
-            self.step();
-        }
-    }
-
-    /// Runs until parallel time `t` has elapsed.
-    pub fn run_for_time(&mut self, t: f64) {
-        let target = (t * self.states.len() as f64).ceil() as u64;
-        self.run_until_interactions(self.interactions + target);
-    }
-
-    /// Runs until `predicate` holds over the full state slice, checking every
-    /// `check_every` interactions, up to a parallel-time budget `max_time`.
-    ///
-    /// The predicate is also evaluated once before any interaction, so a
-    /// population that starts converged reports `time == 0`.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&[P::State]) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        assert!(check_every > 0, "check_every must be positive");
-        let n = self.states.len();
-        let max_interactions = (max_time * n as f64).ceil() as u64;
-        if predicate(&self.states) {
-            return RunOutcome {
-                converged: true,
-                time: self.time(),
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let burst = check_every.min(max_interactions - self.interactions);
-            self.steps(burst);
-            if predicate(&self.states) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome {
-            converged: false,
-            time: self.time(),
-            interactions: self.interactions,
-        }
-    }
-
-    /// Convenience: runs until convergence checking once per `n` interactions
-    /// (once per parallel-time unit), the cadence used by all experiments.
-    pub fn run_until_converged(
-        &mut self,
-        predicate: impl FnMut(&[P::State]) -> bool,
-        max_time: f64,
-    ) -> RunOutcome {
-        let n = self.states.len() as u64;
-        self.run_until(predicate, n, max_time)
-    }
 }
 
 impl<P: Protocol> std::fmt::Debug for AgentSim<P> {
@@ -218,6 +147,7 @@ impl<P: Protocol> std::fmt::Debug for AgentSim<P> {
 mod tests {
     use super::*;
     use crate::protocol::Protocol;
+    use crate::simulation::{Engine as _, Simulation};
     use rand::Rng;
 
     /// Epidemic: the receiver becomes infected if the sender is.
@@ -237,11 +167,22 @@ mod tests {
         }
     }
 
+    /// Everyone infected: the decoded view holds only `true`.
+    fn all_infected(view: &[(bool, u64)]) -> bool {
+        view.iter().all(|&(s, _)| s)
+    }
+
+    /// Runs `sim` to full infection through [`Simulation`], checking once
+    /// per parallel-time unit.
+    fn run_to_infection(sim: AgentSim<Epidemic>, max_time: f64) -> RunOutcome {
+        Simulation::from_engine(Box::new(sim)).run_until(all_infected, max_time)
+    }
+
     #[test]
     fn epidemic_reaches_everyone() {
         let mut sim = AgentSim::new(Epidemic, 200, 42);
         sim.set_state(0, true);
-        let outcome = sim.run_until_converged(|s| s.iter().all(|&x| x), 200.0);
+        let outcome = run_to_infection(sim, 200.0);
         assert!(outcome.converged);
         // Epidemic completes in ~2 ln n expected parallel time; 200 is ample.
         assert!(outcome.time < 100.0);
@@ -255,9 +196,14 @@ mod tests {
         let mut total = 0.0;
         let trials = 10;
         for t in 0..trials {
-            let mut sim = AgentSim::new(Epidemic, n, 100 + t);
-            sim.set_state(0, true);
-            let out = sim.run_until(|s| s.iter().all(|&x| x), 50, 200.0);
+            let (out, _) = Simulation::builder(Epidemic)
+                .size(n)
+                .seed(100 + t)
+                .init_planted([(true, 1)])
+                .check_every(50)
+                .max_time(200.0)
+                .until(all_infected)
+                .run();
             assert!(out.converged);
             total += out.time;
         }
@@ -271,30 +217,12 @@ mod tests {
         let run = |seed| {
             let mut sim = AgentSim::new(Epidemic, 50, seed);
             sim.set_state(0, true);
-            sim.run_until_converged(|s| s.iter().all(|&x| x), 100.0)
+            run_to_infection(sim, 100.0)
         };
         let a = run(7);
         let b = run(7);
         assert_eq!(a.interactions, b.interactions);
         assert_ne!(run(8).interactions, 0);
-    }
-
-    #[test]
-    fn converged_start_reports_zero_time() {
-        let mut sim = AgentSim::new(Epidemic, 10, 0);
-        let out = sim.run_until_converged(|s| s.iter().all(|&x| !x), 1.0);
-        assert!(out.converged);
-        assert_eq!(out.time, 0.0);
-        assert_eq!(out.interactions, 0);
-    }
-
-    #[test]
-    fn budget_exhaustion_reports_not_converged() {
-        let mut sim = AgentSim::new(Epidemic, 10, 0);
-        // Nobody is infected, so full infection never happens.
-        let out = sim.run_until_converged(|s| s.iter().all(|&x| x), 5.0);
-        assert!(!out.converged);
-        assert!(out.time >= 5.0);
     }
 
     /// Order-sensitive protocol: receiver records that it received.

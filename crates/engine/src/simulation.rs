@@ -14,8 +14,10 @@
 //!   behind a `Box<dyn Engine<S>>`.
 //! * [`Simulation`] owns a boxed engine plus the run policy (checkpoint
 //!   cadence, time budget, convergence predicate, observers) and provides
-//!   the *single* run driver that used to be quadruplicated across the
-//!   simulators' `run_until`/`run_for_time` surfaces.
+//!   the run driver every engine shares: engines expose
+//!   [`Engine::advance`] (and the provided [`Engine::steps`] over it),
+//!   never a loop with checks of their own. [`Simulation::from_engine`]
+//!   wraps a hand-built engine.
 //! * [`Simulation::builder`] (agent-level [`Protocol`]s) and
 //!   [`Simulation::count_builder`] ([`CountProtocol`]s) assemble a
 //!   simulation declaratively:
@@ -105,9 +107,10 @@ pub enum EngineKind {
 /// The unified, object-safe simulator interface.
 ///
 /// One implementation per simulator; the run drivers ([`Simulation::run`],
-/// [`Simulation::run_until`]) are written once against this trait instead
-/// of once per engine. All methods are object-safe, so the sweep layer can
-/// hold a `Box<dyn Engine<S>>` and pick the engine at runtime.
+/// [`Simulation::run_until`]) are written once against this trait, and
+/// no engine has a driver of its own. All methods are object-safe, so the
+/// sweep layer can hold a `Box<dyn Engine<S>>` and pick the engine at
+/// runtime.
 pub trait Engine<S> {
     /// Population size `n`.
     fn population_size(&self) -> u64;
@@ -123,6 +126,16 @@ pub trait Engine<S> {
     /// null-skip run). Returns the number executed. Engines never
     /// overshoot `budget`, so drivers land checkpoints exactly.
     fn advance(&mut self, budget: u64) -> u64;
+
+    /// Executes exactly `k` further interactions by calling
+    /// [`advance`](Engine::advance) until the clock lands on the target
+    /// (engines never overshoot, so it lands exactly).
+    fn steps(&mut self, k: u64) {
+        let target = self.interactions() + k;
+        while self.interactions() < target {
+            self.advance(target - self.interactions());
+        }
+    }
 
     /// The decoded occupied-state multiset: `(state, count)` pairs with
     /// positive counts summing to `n`. See the [module docs](self) for
@@ -184,7 +197,9 @@ where
     }
 
     fn advance(&mut self, budget: u64) -> u64 {
-        self.steps(budget);
+        for _ in 0..budget {
+            self.step();
+        }
         budget
     }
 
@@ -225,7 +240,9 @@ impl<P: CountProtocol> Engine<P::State> for CountSim<P> {
     }
 
     fn advance(&mut self, budget: u64) -> u64 {
-        self.steps(budget);
+        for _ in 0..budget {
+            self.step();
+        }
         budget
     }
 
@@ -758,12 +775,10 @@ impl<'a, S: Clone> Simulation<'a, S> {
         self.engine.advance(budget)
     }
 
-    /// Executes exactly `k` further interactions (no checkpoints fire).
+    /// Executes exactly `k` further interactions (no checkpoints fire;
+    /// see [`Engine::steps`]).
     pub fn steps(&mut self, k: u64) {
-        let target = self.engine.interactions() + k;
-        while self.engine.interactions() < target {
-            self.engine.advance(target - self.engine.interactions());
-        }
+        self.engine.steps(k);
     }
 
     /// Runs for `t` further units of parallel time (no checkpoints fire).
@@ -797,7 +812,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
     /// Runs until an ad-hoc `predicate` holds — the multi-phase driver
     /// ("until the signal fires, then until everyone froze"). Uses the
     /// configured checkpoint cadence; `max_time` is an **absolute**
-    /// parallel-time cap (matching the legacy `run_until` semantics), so
+    /// parallel-time cap (`⌈max_time · n⌉` interactions in total), so
     /// consecutive phases share one budget. Observers fire at every
     /// checkpoint of every phase.
     pub fn run_until(
@@ -907,9 +922,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
                 };
             }
             let target = (interactions + self.check_every).min(max_interactions);
-            while self.engine.interactions() < target {
-                self.engine.advance(target - self.engine.interactions());
-            }
+            self.engine.steps(target - interactions);
         }
     }
 
@@ -1495,7 +1508,8 @@ mod tests {
         let direct = {
             let mut sim = AgentSim::new(MaxRecord, 100, 5);
             sim.set_state(0, 9);
-            sim.run_until_converged(|s| s.iter().all(|&v| v == 9), 500.0)
+            Simulation::from_engine(Box::new(sim))
+                .run_until(|view| view.iter().all(|&(s, _)| s == 9), 500.0)
         };
         let (built, _) = Simulation::builder(MaxRecord)
             .size(100)
@@ -1557,8 +1571,9 @@ mod tests {
         let n = 3_000u64;
         let direct = {
             let config = CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
-            let mut sim = ConfigSim::new(InfectionEpidemic, config, 11);
-            sim.run_until(|c| c.count(&true) == n, n, f64::MAX)
+            let sim = ConfigSim::new(InfectionEpidemic, config, 11);
+            Simulation::from_engine(Box::new(sim))
+                .run_until(move |view| count_of(view, &true) == n, f64::MAX)
         };
         let (built, _) = Simulation::count_builder(InfectionEpidemic)
             .config([(false, n - 1), (true, 1)])

@@ -8,7 +8,10 @@
 //! * `time()` is `interactions / n`;
 //! * trajectories are a deterministic function of the seed;
 //! * the dynamic dispatch the sweep layer depends on (`Box<dyn Engine>`)
-//!   drives every engine to the same convergence result.
+//!   drives every engine to the same convergence result;
+//! * under `Simulation`, the only run driver, a predicate that holds at
+//!   the start stops the run at time 0, and an exhausted budget stops it
+//!   unconverged at exactly `⌈T·n⌉` interactions.
 //!
 //! The suite runs against all four engines: `AgentSim`, `CountSim`,
 //! `BatchedCountSim`, and the adaptive `ConfigSim` facade.
@@ -16,7 +19,7 @@
 use pp_engine::batch::{BatchedCountSim, ConfigSim};
 use pp_engine::count_sim::{CountConfiguration, CountSim};
 use pp_engine::simulation::{count_of, view_population, Engine, EngineKind, Simulation};
-use pp_engine::{AgentSim, Protocol, SimRng};
+use pp_engine::{AgentSim, Protocol, RunOutcome, SimRng};
 
 // Above ConfigSim::BATCH_THRESHOLD so the Auto facade starts batched.
 const N: u64 = 8_192;
@@ -163,5 +166,35 @@ fn dyn_dispatch_drives_every_engine_to_completion() {
         assert_eq!(sim.count(&true), N, "{name}");
         // ~2 ln n parallel time, with a generous band.
         assert!(out.time < 60.0, "{name}: completion took {}", out.time);
+    }
+}
+
+#[test]
+fn run_driver_stops_at_time_zero_or_exactly_at_the_budget() {
+    // A predicate that already holds: converged at time 0, nothing run.
+    for (name, engine) in engines(5) {
+        let mut sim = Simulation::from_engine(engine);
+        let out = sim.run_until(|view| count_of(view, &true) >= 1, 10.0);
+        let expect = RunOutcome {
+            converged: true,
+            time: 0.0,
+            interactions: 0,
+        };
+        assert_eq!(out, expect, "{name}");
+        assert_eq!(sim.interactions(), 0, "{name}: ran past a true predicate");
+    }
+    // A never-true predicate under a budget whose ⌈T·n⌉ is no multiple of
+    // n: the driver's last burst (checks fall every n interactions) is
+    // clipped, and every engine must land on the budget exactly.
+    let max_time = 2.3;
+    let budget = (max_time * N as f64).ceil() as u64;
+    assert_ne!(budget % N, 0, "budget must cut a burst short");
+    for (name, engine) in engines(6) {
+        let mut sim = Simulation::from_engine(engine);
+        let out = sim.run_until(|_| false, max_time);
+        assert!(!out.converged, "{name}");
+        assert_eq!(out.interactions, budget, "{name}: overshot or undershot");
+        assert_eq!(sim.interactions(), budget, "{name}");
+        assert_eq!(out.time, budget as f64 / N as f64, "{name}");
     }
 }

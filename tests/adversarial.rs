@@ -15,8 +15,8 @@
 //! * corrupted low fields (`time`, `gr`) are *washed out* by the normal
 //!   restart machinery — the estimate stays in band.
 
-use uniform_sizeest::engine::AgentSim;
-use uniform_sizeest::protocols::log_size::{is_converged, LogSizeEstimation};
+use uniform_sizeest::engine::{AgentSim, Simulation};
+use uniform_sizeest::protocols::log_size::{is_converged_counts, LogSizeEstimation};
 use uniform_sizeest::protocols::state::{MainState, Role};
 
 fn run_corrupted(
@@ -29,9 +29,11 @@ fn run_corrupted(
     corrupt(&mut state);
     sim.set_state(0, state);
     let budget = 4.0 * uniform_sizeest::protocols::log_size::default_time_budget(n as u64);
-    let out = sim.run_until_converged(is_converged, budget);
+    let mut sim = Simulation::from_engine(Box::new(sim));
+    let out = sim.run_until(is_converged_counts, budget);
+    // The view's first pair holds agent 0's state.
     let output = if out.converged {
-        sim.states()[0].output
+        sim.view()[0].0.output
     } else {
         None
     };
@@ -135,6 +137,6 @@ fn many_corrupted_agents_still_converge() {
         sim.set_state(i, s);
     }
     let budget = 4.0 * uniform_sizeest::protocols::log_size::default_time_budget(n as u64);
-    let out = sim.run_until_converged(is_converged, budget);
+    let out = Simulation::from_engine(Box::new(sim)).run_until(is_converged_counts, budget);
     assert!(out.converged, "10% corruption prevented convergence");
 }

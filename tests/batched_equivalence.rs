@@ -12,34 +12,38 @@
 //! fill, collision interaction, null skipping, state discovery) fires
 //! constantly.
 
-use uniform_sizeest::engine::batch::{BatchedCountSim, ConfigSim, DeterministicCountProtocol};
+use uniform_sizeest::engine::batch::{BatchedCountSim, DeterministicCountProtocol, EngineMode};
 use uniform_sizeest::engine::count_sim::{CountConfiguration, CountSim};
 use uniform_sizeest::engine::epidemic::InfectionEpidemic;
 use uniform_sizeest::engine::rng::derive_seed;
+use uniform_sizeest::engine::simulation::{count_of, Engine as _, Simulation};
 
 mod common;
 use common::{eq_trials, ks_statistic, ks_threshold};
+
+/// Completion time of the one-way epidemic from one infected agent on a
+/// pinned engine, checked every `n/50` interactions.
+fn epidemic_time(mode: EngineMode, n: u64, seed: u64) -> f64 {
+    let (out, _) = Simulation::count_builder(InfectionEpidemic)
+        .mode(mode)
+        .config([(false, n - 1), (true, 1)])
+        .seed(seed)
+        .check_every(n / 50)
+        .until(move |view| count_of(view, &true) == n)
+        .run();
+    assert!(out.converged);
+    out.time
+}
 
 #[test]
 fn epidemic_completion_times_agree() {
     let n = 10_000u64;
     let trials = eq_trials(200);
-    let config = || CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
     let mut seq: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut sim = CountSim::new(InfectionEpidemic, config(), derive_seed(0xE0, t));
-            let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-            assert!(out.converged);
-            out.time
-        })
+        .map(|t| epidemic_time(EngineMode::Sequential, n, derive_seed(0xE0, t)))
         .collect();
     let mut bat: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut sim = BatchedCountSim::new(InfectionEpidemic, config(), derive_seed(0xE1, t));
-            let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-            assert!(out.converged);
-            out.time
-        })
+        .map(|t| epidemic_time(EngineMode::Batched, n, derive_seed(0xE1, t)))
         .collect();
     let d = ks_statistic(&mut seq, &mut bat);
     let crit = ks_threshold(trials as usize, trials as usize);
@@ -71,14 +75,25 @@ impl DeterministicCountProtocol for ApproxMajority {
     }
 }
 
-/// Runs one approximate-majority trial to consensus; returns
-/// `(a_won, consensus_time)`.
-fn majority_outcome(sim: &mut ConfigSim<ApproxMajority>, n: u64) -> (bool, f64) {
-    let out = sim.run_until(
-        |c| c.count(&0) + c.count(&2) == n || c.count(&1) + c.count(&2) == n,
-        n / 50,
-        10_000.0,
-    );
+/// Runs one approximate-majority trial to consensus on a pinned engine;
+/// returns `(a_won, consensus_time)`.
+fn majority_outcome(
+    mode: EngineMode,
+    config: CountConfiguration<u8>,
+    seed: u64,
+    n: u64,
+) -> (bool, f64) {
+    let (out, sim) = Simulation::count_builder(ApproxMajority)
+        .mode(mode)
+        .initial(config)
+        .seed(seed)
+        .check_every(n / 50)
+        .max_time(10_000.0)
+        .until(move |v| {
+            let blank = count_of(v, &2);
+            count_of(v, &0) + blank == n || count_of(v, &1) + blank == n
+        })
+        .run();
     assert!(out.converged, "approximate majority failed to converge");
     let a_won = sim.count(&1) == 0;
     (a_won, out.time)
@@ -97,13 +112,12 @@ fn majority_outcome_distributions_agree() {
         let mut wins = 0u64;
         let mut times = Vec::new();
         for t in 0..trials {
-            let seed = derive_seed(stream, t);
-            let mut sim = if batched {
-                ConfigSim::batched(ApproxMajority, config(), seed)
+            let mode = if batched {
+                EngineMode::Batched
             } else {
-                ConfigSim::sequential(ApproxMajority, config(), seed)
+                EngineMode::Sequential
             };
-            let (a_won, time) = majority_outcome(&mut sim, n);
+            let (a_won, time) = majority_outcome(mode, config(), derive_seed(stream, t), n);
             wins += u64::from(a_won);
             times.push(time);
         }
@@ -241,27 +255,16 @@ fn facade_engines_agree_on_epidemic_mean_time() {
     // mean completion times within 4 standard errors.
     let n = 10_000u64;
     let trials = 60u64;
-    let config = || CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
-    let mean_time = |batched: bool, stream: u64| -> (f64, f64) {
+    let mean_time = |mode: EngineMode, stream: u64| -> (f64, f64) {
         let times: Vec<f64> = (0..trials)
-            .map(|t| {
-                let seed = derive_seed(stream, t);
-                let mut sim = if batched {
-                    ConfigSim::batched(InfectionEpidemic, config(), seed)
-                } else {
-                    ConfigSim::sequential(InfectionEpidemic, config(), seed)
-                };
-                let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-                assert!(out.converged);
-                out.time
-            })
+            .map(|t| epidemic_time(mode, n, derive_seed(stream, t)))
             .collect();
         let mean = times.iter().sum::<f64>() / trials as f64;
         let var = times.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (trials - 1) as f64;
         (mean, (var / trials as f64).sqrt())
     };
-    let (m_seq, se_seq) = mean_time(false, 0xD0);
-    let (m_bat, se_bat) = mean_time(true, 0xD1);
+    let (m_seq, se_seq) = mean_time(EngineMode::Sequential, 0xD0);
+    let (m_bat, se_bat) = mean_time(EngineMode::Batched, 0xD1);
     let se = (se_seq * se_seq + se_bat * se_bat).sqrt();
     assert!(
         (m_seq - m_bat).abs() < 4.0 * se,

@@ -4,11 +4,18 @@
 //!
 //! Each test re-implements one deprecated/migrated free function the way
 //! it was written before the unified API — direct `AgentSim` /
-//! `CountSim` / `ConfigSim` construction, hand-rolled `run_until` loops —
-//! and asserts exact equality (`==`, not statistical closeness) against
-//! the function's current builder-backed implementation. This pins down
-//! the builder's contract: same engine construction order, same RNG
-//! stream, same checkpoint cadence, same observation points.
+//! `ConfigSim` construction, predicates over the agent slice or the
+//! materialized `config_view()` — and asserts exact equality (`==`, not
+//! statistical closeness) against the function's current builder-backed
+//! implementation. This pins down the builder's contract: same engine
+//! construction order, same RNG stream, same checkpoint cadence, same
+//! observation points.
+//!
+//! The engines no longer carry run drivers of their own (library code
+//! runs them through `Simulation`), so the references run on
+//! [`legacy_run_until`], this file's copy of the pre-builder loop over
+//! [`Engine::steps`]. It shares no code with `Simulation`'s driver, which
+//! keeps the references an independent check of it.
 //!
 //! (This file is the sanctioned home for direct engine constructions
 //! outside `pp-engine`; everything else goes through the builder.)
@@ -27,10 +34,9 @@ use uniform_sizeest::engine::batch::ConfigSim;
 use uniform_sizeest::engine::count_sim::CountConfiguration;
 use uniform_sizeest::engine::epidemic::{epidemic_completion_time, InfectionEpidemic};
 use uniform_sizeest::engine::interned::Interned;
-use uniform_sizeest::engine::AgentSim;
+use uniform_sizeest::engine::{AgentSim, Engine, RunOutcome};
 use uniform_sizeest::protocols::leader::{
-    run_terminating_agentwise, run_terminating_counted, LeaderState, LeaderTerminating,
-    TerminatingOutcome,
+    run_terminating, run_terminating_agentwise, LeaderState, LeaderTerminating, TerminatingOutcome,
 };
 use uniform_sizeest::protocols::log_size::{
     estimate_agentwise, is_converged, is_converged_counts, EstimateOutcome, FieldMaxima,
@@ -39,18 +45,44 @@ use uniform_sizeest::protocols::log_size::{
 use uniform_sizeest::protocols::partition::{run_partition, PartitionOnly, PartitionOutcome};
 use uniform_sizeest::protocols::state::Role;
 
+/// The pre-builder run loop, as every engine's own `run_until` ran it:
+/// evaluate `done` once before any interaction, then alternate bursts of
+/// `min(check_every, remaining)` interactions with one check each, until
+/// `done` holds or the absolute budget `⌈max_time · n⌉` is spent.
+fn legacy_run_until<S, E: Engine<S>>(
+    sim: &mut E,
+    mut done: impl FnMut(&E) -> bool,
+    check_every: u64,
+    max_time: f64,
+) -> RunOutcome {
+    let max_interactions = (max_time * sim.population_size() as f64).ceil() as u64;
+    loop {
+        let converged = done(sim);
+        if converged || sim.interactions() >= max_interactions {
+            return RunOutcome {
+                converged,
+                time: sim.time(),
+                interactions: sim.interactions(),
+            };
+        }
+        sim.steps(check_every.min(max_interactions - sim.interactions()));
+    }
+}
+
 /// The pre-builder body of `estimate_log_size` (then agent-engine), verbatim;
 /// `estimate_agentwise` is its builder-backed successor.
 fn legacy_estimate_log_size(n: usize, seed: u64, budget: f64) -> EstimateOutcome {
     let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
     let mut maxima = FieldMaxima::default();
-    let out = sim.run_until_converged(
-        |states| {
-            for s in states {
+    let out = legacy_run_until(
+        &mut sim,
+        |sim| {
+            for s in sim.states() {
                 maxima.absorb(s);
             }
-            is_converged(states)
+            is_converged(sim.states())
         },
+        n as u64,
         budget,
     );
     let output = if out.converged {
@@ -77,17 +109,18 @@ fn estimate_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     }
 }
 
-/// The pre-builder body of `estimate_log_size_counted` (interned
-/// `ConfigSim`), verbatim.
+/// The pre-builder body of the count-engine `estimate_log_size` (interned
+/// `ConfigSim`; then named `estimate_log_size_counted`), verbatim.
 fn legacy_estimate_counted(n: usize, seed: u64, budget: f64) -> EstimateOutcome {
     let interned = Interned::new(LogSizeEstimation::paper());
     let handle = interned.handle();
     let config = interned.uniform_config(n as u64);
     let mut sim = ConfigSim::new(interned, config, seed);
     let mut maxima = FieldMaxima::default();
-    let out = sim.run_until(
-        |c| {
-            let decoded = handle.decode(c);
+    let out = legacy_run_until(
+        &mut sim,
+        |sim| {
+            let decoded = handle.decode(&sim.config_view());
             for (s, _) in &decoded {
                 maxima.absorb(s);
             }
@@ -114,11 +147,11 @@ fn legacy_estimate_counted(n: usize, seed: u64, budget: f64) -> EstimateOutcome 
 
 #[test]
 fn estimate_log_size_counted_matches_legacy_config_sim_byte_for_byte() {
-    use uniform_sizeest::protocols::log_size::estimate_log_size_counted;
+    use uniform_sizeest::protocols::log_size::estimate_log_size;
     for (n, seed) in [(100usize, 17u64), (150, 18)] {
         let budget = 1e7;
         let legacy = legacy_estimate_counted(n, seed, budget);
-        let built = estimate_log_size_counted(n, seed, Some(budget));
+        let built = estimate_log_size(n, seed, Some(budget));
         assert!(legacy.converged);
         assert_eq!(legacy, built, "n={n} seed={seed}");
     }
@@ -149,10 +182,21 @@ fn finish_terminating(
 fn legacy_run_terminating(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
     let mut sim = AgentSim::new(LeaderTerminating::paper(), n, seed);
     sim.set_state(0, LeaderState::leader());
-    let fired = sim.run_until_converged(|s| s.iter().any(|a| a.terminated), max_time);
+    let check = n as u64;
+    let fired = legacy_run_until(
+        &mut sim,
+        |sim| sim.states().iter().any(|a| a.terminated),
+        check,
+        max_time,
+    );
     assert!(fired.converged, "legacy harness expects termination");
     let termination_time = fired.time;
-    let frozen = sim.run_until_converged(|s| s.iter().all(|a| a.terminated), max_time);
+    let frozen = legacy_run_until(
+        &mut sim,
+        |sim| sim.states().iter().all(|a| a.terminated),
+        check,
+        max_time,
+    );
     let mut counts = std::collections::BTreeMap::new();
     for s in sim.states() {
         if let Some(o) = s.main.output {
@@ -170,8 +214,9 @@ fn run_terminating_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     assert_eq!(legacy, built);
 }
 
-/// The pre-builder body of `run_terminating_counted` (interned count
-/// engine, planted leader as a non-uniform configuration), verbatim.
+/// The pre-builder body of the count-engine `run_terminating` (interned
+/// count engine, planted leader as a non-uniform configuration; then named
+/// `run_terminating_counted`), verbatim.
 fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
     let interned = Interned::new(LeaderTerminating::paper());
     let handle = interned.handle();
@@ -181,15 +226,27 @@ fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> Termina
     ]);
     let mut sim = ConfigSim::new(interned, config, seed);
     let check = n as u64;
-    let fired = sim.run_until(
-        |c| handle.decode(c).iter().any(|(s, _)| s.terminated),
+    let fired = legacy_run_until(
+        &mut sim,
+        |sim| {
+            handle
+                .decode(&sim.config_view())
+                .iter()
+                .any(|(s, _)| s.terminated)
+        },
         check,
         max_time,
     );
     assert!(fired.converged, "legacy harness expects termination");
     let termination_time = fired.time;
-    let frozen = sim.run_until(
-        |c| handle.decode(c).iter().all(|(s, _)| s.terminated),
+    let frozen = legacy_run_until(
+        &mut sim,
+        |sim| {
+            handle
+                .decode(&sim.config_view())
+                .iter()
+                .all(|(s, _)| s.terminated)
+        },
         check,
         max_time,
     );
@@ -206,7 +263,7 @@ fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> Termina
 fn run_terminating_counted_matches_legacy_config_sim_byte_for_byte() {
     let (n, seed) = (80usize, 41u64);
     let legacy = legacy_run_terminating_counted(n, seed, 5e6);
-    let built = run_terminating_counted(n, seed, 5e6);
+    let built = run_terminating(n, seed, 5e6);
     assert_eq!(legacy, built);
 }
 
@@ -216,7 +273,12 @@ fn run_partition_matches_legacy_config_sim_byte_for_byte() {
         let legacy: PartitionOutcome = {
             let config = CountConfiguration::uniform(Role::X, n as u64);
             let mut sim = ConfigSim::new(PartitionOnly, config, seed);
-            let out = sim.run_until(|c| c.count(&Role::X) == 0, n as u64, f64::MAX);
+            let out = legacy_run_until(
+                &mut sim,
+                |sim| sim.config_view().count(&Role::X) == 0,
+                n as u64,
+                f64::MAX,
+            );
             assert!(out.converged);
             let a_count = sim.count(&Role::A) as usize;
             PartitionOutcome {
@@ -237,7 +299,12 @@ fn epidemic_completion_time_matches_legacy_config_sim_byte_for_byte() {
         let legacy = {
             let config = CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
             let mut sim = ConfigSim::new(InfectionEpidemic, config, seed);
-            let out = sim.run_until(|c| c.count(&true) == n, (n / 10).max(1), f64::MAX);
+            let out = legacy_run_until(
+                &mut sim,
+                |sim| sim.config_view().count(&true) == n,
+                (n / 10).max(1),
+                f64::MAX,
+            );
             assert!(out.converged);
             out.time
         };
@@ -253,7 +320,12 @@ fn weak_estimate_matches_legacy_config_sim_byte_for_byte() {
             let n = n as u64;
             let config = CountConfiguration::uniform(WeakState::initial(), n);
             let mut sim = ConfigSim::new(WeakEstimator, config, seed);
-            let out = sim.run_until(WeakEstimator::agreed, n.max(2), f64::MAX);
+            let out = legacy_run_until(
+                &mut sim,
+                |sim| WeakEstimator::agreed(&sim.config_view()),
+                n.max(2),
+                f64::MAX,
+            );
             assert!(out.converged);
             let estimate = sim
                 .config_view()
@@ -274,9 +346,10 @@ fn run_backup_matches_legacy_config_sim_byte_for_byte() {
         let legacy: BackupOutcome = {
             let config = CountConfiguration::uniform(BackupState::Leader(0), n);
             let mut sim = ConfigSim::new(ExactBackup, config, seed);
-            let out = sim.run_until(
-                |c| {
-                    c.iter().all(|(s, &k)| match s {
+            let out = legacy_run_until(
+                &mut sim,
+                |sim| {
+                    sim.config_view().iter().all(|(s, &k)| match s {
                         BackupState::Leader(_) => k <= 1,
                         BackupState::Follower(_) => true,
                     })
@@ -323,12 +396,14 @@ fn run_exact_count_matches_legacy_agent_sim_byte_for_byte() {
                 done: false,
             },
         );
-        let out = sim.run_until_converged(
-            |states| {
-                states
+        let out = legacy_run_until(
+            &mut sim,
+            |sim| {
+                sim.states()
                     .iter()
                     .any(|s| matches!(s, CountState::Leader { done: true, .. }))
             },
+            n as u64,
             1e7,
         );
         let count = sim
@@ -360,10 +435,11 @@ fn run_nonuniform_majority_matches_legacy_seeded_config_sim_byte_for_byte() {
                 ones: ones as u64,
             };
             let mut sim = ConfigSim::from_seeded(seeded, n as u64, seed);
-            let out = sim.run_until(
-                |c| {
+            let out = legacy_run_until(
+                &mut sim,
+                |sim| {
                     let mut display = None;
-                    c.iter().all(|(s, _)| {
+                    sim.config_view().iter().all(|(s, _)| {
                         s.stage >= k && *display.get_or_insert(s.inner.display) == s.inner.display
                     })
                 },

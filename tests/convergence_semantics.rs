@@ -9,19 +9,29 @@
 //! converging executions stabilize w.p. 1 for bounded-reachability
 //! protocols.
 
-use uniform_sizeest::engine::AgentSim;
+use uniform_sizeest::engine::{AgentSim, Engine as _};
 use uniform_sizeest::protocols::log_size::{is_converged, LogSizeEstimation};
+
+/// Steps `sim` until `is_converged` holds, checking once per parallel-time
+/// unit (first before any interaction), and returns the convergence time.
+fn run_to_convergence(sim: &mut AgentSim<LogSizeEstimation>) -> f64 {
+    let n = sim.population_size() as u64;
+    while !is_converged(sim.states()) {
+        assert!(sim.time() < 1e7, "no convergence within the budget");
+        sim.steps(n);
+    }
+    sim.time()
+}
 
 #[test]
 fn outputs_never_change_after_convergence() {
     let n = 150;
     for seed in [5u64, 6, 7] {
         let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
-        let out = sim.run_until_converged(is_converged, 1e7);
-        assert!(out.converged, "seed {seed} did not converge");
+        let time = run_to_convergence(&mut sim);
         let outputs: Vec<Option<u64>> = sim.states().iter().map(|s| s.output).collect();
         // Run 5x the convergence time further: nothing may change.
-        sim.run_for_time(5.0 * out.time);
+        sim.steps((5.0 * time * n as f64).ceil() as u64);
         let later: Vec<Option<u64>> = sim.states().iter().map(|s| s.output).collect();
         assert_eq!(
             outputs, later,
@@ -36,10 +46,9 @@ fn converged_state_is_silent_on_outputs_but_not_frozen() {
     // paper's distinction between a stable output and a silent
     // configuration (§4, citing [13]).
     let mut sim = AgentSim::new(LogSizeEstimation::paper(), 100, 11);
-    let out = sim.run_until_converged(is_converged, 1e7);
-    assert!(out.converged);
+    run_to_convergence(&mut sim);
     let before: Vec<_> = sim.states().to_vec();
-    sim.run_for_time(50.0);
+    sim.steps(50 * 100);
     let after: Vec<_> = sim.states().to_vec();
     // Outputs identical...
     for (b, a) in before.iter().zip(&after) {
@@ -61,7 +70,7 @@ fn convergence_time_equals_first_stable_output_time() {
     let mut history: Vec<(f64, Vec<Option<u64>>)> = Vec::new();
     let budget = 1e7;
     while sim.time() < budget {
-        sim.run_for_time(cadence);
+        sim.steps((cadence * n as f64) as u64);
         history.push((sim.time(), sim.states().iter().map(|s| s.output).collect()));
         if is_converged(sim.states()) {
             break;

@@ -6,6 +6,7 @@ use uniform_sizeest::analysis::stats::{quantile, Summary};
 use uniform_sizeest::engine::count_sim::CountConfiguration;
 use uniform_sizeest::engine::rng::{derive_seed, geometric, geometric_half, rng_from_seed};
 use uniform_sizeest::engine::scheduler::PairScheduler;
+use uniform_sizeest::engine::Engine as _;
 use uniform_sizeest::termination::producible::producible_closure;
 use uniform_sizeest::termination::relation::{Transition, TransitionRelation};
 

@@ -3,7 +3,7 @@
 //! never leaves its legal envelope.
 
 use proptest::prelude::*;
-use uniform_sizeest::engine::AgentSim;
+use uniform_sizeest::engine::{AgentSim, Engine as _};
 use uniform_sizeest::protocols::log_size::LogSizeEstimation;
 use uniform_sizeest::protocols::state::{MainState, Role};
 
@@ -60,7 +60,7 @@ proptest! {
         let protocol = LogSizeEstimation::paper();
         let mut sim = AgentSim::new(protocol, n, seed);
         for _ in 0..bursts {
-            sim.run_for_time(50.0);
+            sim.steps(50 * n as u64);
             if let Err(e) = check_invariants(sim.states(), protocol.epoch_multiplier) {
                 prop_assert!(false, "invariant violated at t={}: {e}", sim.time());
             }
@@ -70,9 +70,9 @@ proptest! {
     #[test]
     fn roles_are_stable_once_assigned(n in 10usize..100, seed in any::<u64>()) {
         let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
-        sim.run_for_time(30.0);
+        sim.steps(30 * n as u64);
         let roles: Vec<Role> = sim.states().iter().map(|s| s.role).collect();
-        sim.run_for_time(100.0);
+        sim.steps(100 * n as u64);
         for (i, s) in sim.states().iter().enumerate() {
             if roles[i] != Role::X {
                 prop_assert_eq!(s.role, roles[i], "agent {} changed role", i);
@@ -85,7 +85,7 @@ proptest! {
         let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
         let mut prev: Vec<u64> = sim.states().iter().map(|s| s.log_size2).collect();
         for _ in 0..8 {
-            sim.run_for_time(20.0);
+            sim.steps(20 * n as u64);
             for (i, s) in sim.states().iter().enumerate() {
                 prop_assert!(
                     s.log_size2 >= prev[i],
@@ -102,7 +102,7 @@ proptest! {
         let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
         let mut prev_max = 0;
         for _ in 0..10 {
-            sim.run_for_time(15.0);
+            sim.steps(15 * n as u64);
             let max = sim.states().iter().map(|s| s.log_size2).max().unwrap();
             prop_assert!(max >= prev_max);
             prev_max = max;
@@ -117,7 +117,7 @@ fn s_epoch_tracks_number_of_summands() {
     // restart zeroed both.
     let mut sim = AgentSim::new(LogSizeEstimation::paper(), 120, 77);
     for _ in 0..40 {
-        sim.run_for_time(25.0);
+        sim.steps(25 * 120);
         for (i, s) in sim.states().iter().enumerate() {
             if s.role == Role::S && s.epoch > 0 {
                 assert!(
